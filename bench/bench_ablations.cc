@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   // Optional dumps: each ablation table goes to PATH.d1 .. PATH.d5.
   const std::string csv = flags.Str("csv", "");
   const std::string json = flags.Str("json", "");
+  flags.Finish();
   auto dump = [&csv, &json](const Table& table, const std::string& tag) {
     if (!csv.empty()) table.WriteCsv(csv + "." + tag);
     if (!json.empty()) table.WriteJson(json + "." + tag);

@@ -1,18 +1,22 @@
 // Shared helpers for the figure-reproduction harnesses: a tiny flag parser,
 // aligned table printing, and optional CSV / JSON dumping. Every harness runs
 // with no arguments at laptop scale; pass --nodes / --requests etc. to scale
-// up, --csv PATH to dump the series for plotting, and --json PATH for
+// up (--help lists a harness's flags with their defaults; unknown flags are
+// rejected), --csv PATH to dump the series for plotting, and --json PATH for
 // machine-readable output (the perf-trajectory format checked in as
 // BENCH_*.json). The google-benchmark micro harnesses accept the same
 // --json PATH spelling via TranslateJsonFlag.
 
 #pragma once
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/logging.h"
@@ -21,33 +25,110 @@
 namespace piggy::bench {
 
 /// \brief "--key value" flag parser with typed getters.
+///
+/// A harness reads every flag it takes through the getters first, then calls
+/// Finish() before doing any work. The getters record each key and its
+/// default, so the set of valid flags is exactly the set of keys read; there
+/// is no second list to keep in step. Finish() prints that set and exits 0
+/// on `--help`, and exits 2 with the set on an unknown key, a key without a
+/// value, a stray argument, or a numeric flag whose value does not parse in
+/// full (`--nodes 10k`), so a typo never runs some other scale instead.
 class Flags {
  public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i + 1 <= argc - 1; i += 2) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) == 0) key = key.substr(2);
-      values_[key] = argv[i + 1];
+  Flags(int argc, char** argv) : prog_(argc > 0 ? argv[0] : "bench") {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help" || arg == "-h") {
+        help_ = true;
+      } else if (arg.rfind("--", 0) != 0) {
+        Error("unexpected argument '" + arg + "'");
+      } else if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        Error("flag " + arg + " needs a value");
+      } else {
+        values_[arg.substr(2)] = argv[++i];
+      }
     }
   }
 
-  int64_t Int(const std::string& key, int64_t def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : std::atoll(it->second.c_str());
+  int64_t Int(const std::string& key, int64_t def) {
+    const std::string* value = Read(key, std::to_string(def));
+    if (value == nullptr) return def;
+    char* end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(value->c_str(), &end, 10);
+    if (errno != 0 || end == value->c_str() || *end != '\0') {
+      Error("--" + key + " expects an integer, got '" + *value + "'");
+      return def;
+    }
+    return v;
   }
 
-  double Double(const std::string& key, double def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : std::atof(it->second.c_str());
+  double Double(const std::string& key, double def) {
+    const std::string* value = Read(key, FormatDouble(def));
+    if (value == nullptr) return def;
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(value->c_str(), &end);
+    if (errno != 0 || end == value->c_str() || *end != '\0') {
+      Error("--" + key + " expects a number, got '" + *value + "'");
+      return def;
+    }
+    return v;
   }
 
-  std::string Str(const std::string& key, const std::string& def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
+  std::string Str(const std::string& key, const std::string& def) {
+    const std::string* value = Read(key, def);
+    return value == nullptr ? def : *value;
+  }
+
+  /// Ends flag reading: handles `--help`, then rejects bad or unread flags.
+  void Finish() {
+    finished_ = true;
+    if (help_) {
+      PrintUsage(stdout);
+      std::exit(0);
+    }
+    for (const auto& [key, value] : values_) {
+      if (defaults_.count(key) == 0) Error("unknown flag --" + key);
+    }
+    if (!error_.empty()) {
+      std::fprintf(stderr, "%s: %s\n", prog_.c_str(), error_.c_str());
+      PrintUsage(stderr);
+      std::exit(2);
+    }
   }
 
  private:
+  const std::string* Read(const std::string& key, std::string def) {
+    PIGGY_CHECK(!finished_) << "flag --" << key << " read after Finish()";
+    defaults_.emplace(key, std::move(def));
+    auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
+  static std::string FormatDouble(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    return buf;
+  }
+
+  void Error(const std::string& message) {
+    if (error_.empty()) error_ = message;
+  }
+
+  void PrintUsage(std::FILE* out) const {
+    std::fprintf(out, "usage: %s [--key value]...\nvalid flags:\n", prog_.c_str());
+    for (const auto& [key, def] : defaults_) {
+      std::fprintf(out, "  --%s (default '%s')\n", key.c_str(), def.c_str());
+    }
+  }
+
+  std::string prog_;
+  bool help_ = false;
+  bool finished_ = false;
+  std::string error_;
   std::map<std::string, std::string> values_;
+  std::map<std::string, std::string> defaults_;
 };
 
 /// \brief Collects rows and prints them as an aligned table (and CSV).

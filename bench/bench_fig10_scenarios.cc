@@ -63,6 +63,9 @@ int main(int argc, char** argv) {
       StrSplit(flags.Str("planners", "nosy"), ',');
   const std::vector<std::string> policies =
       StrSplit(flags.Str("policies", "never,every-64,drift"), ',');
+  const std::string csv_path = flags.Str("csv", "");
+  const std::string json_path = flags.Str("json", "");
+  flags.Finish();
 
   Banner("Figure 10 - scenario x planner x replan-policy sweep",
          "expect: drift beats never and every-N on total cost for flash-crowd "
@@ -132,7 +135,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   table.Print();
-  table.WriteCsv(flags.Str("csv", ""));
-  table.WriteJson(flags.Str("json", ""));
+  table.WriteCsv(csv_path);
+  table.WriteJson(json_path);
   return 0;
 }

@@ -175,6 +175,10 @@ int main(int argc, char** argv) {
     thread_counts.push_back(static_cast<size_t>(std::atoll(t.c_str())));
   }
   std::vector<std::string> modes = StrSplit(flags.Str("modes", "steady,replan"), ',');
+  const std::string csv_path = flags.Str("csv", "");
+  const std::string json_path = flags.Str("json", "");
+  const std::string metrics_json = flags.Str("metrics-json", "");
+  flags.Finish();
 
   Banner("Figure 11 - concurrent serving: threads x replan mode",
          "expect: aggregate ops/sec scales with threads on multi-core hosts; "
@@ -285,9 +289,8 @@ int main(int argc, char** argv) {
   std::printf("\nhistogram accuracy: every bucketed p50/p95/p99 within one "
               "bucket width of the exact nearest-rank percentile\n\n");
   table.Print();
-  table.WriteCsv(flags.Str("csv", ""));
-  table.WriteJson(flags.Str("json", ""));
-  const std::string metrics_json = flags.Str("metrics-json", "");
+  table.WriteCsv(csv_path);
+  table.WriteJson(json_path);
   if (!metrics_json.empty()) {
     std::FILE* f = std::fopen(metrics_json.c_str(), "w");
     if (f == nullptr) {

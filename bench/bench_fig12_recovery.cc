@@ -111,6 +111,9 @@ int main(int argc, char** argv) {
   std::vector<uint64_t> cadences;
   for (const auto& s : StrSplit(flags.Str("snapshots", "0,2000,8000"), ','))
     cadences.push_back(static_cast<uint64_t>(std::atoll(s.c_str())));
+  const std::string csv_path = flags.Str("csv", "");
+  const std::string json_path = flags.Str("json", "");
+  flags.Finish();
 
   Banner("Fig 12: recovery cost vs. WAL length and snapshot cadence",
          "replayed ops track the WAL tail: linear in the op count without "
@@ -170,7 +173,7 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(root);
 
   table.Print();
-  table.WriteCsv(flags.Str("csv", ""));
-  table.WriteJson(flags.Str("json", ""));
+  table.WriteCsv(csv_path);
+  table.WriteJson(json_path);
   return 0;
 }

@@ -96,6 +96,9 @@ int main(int argc, char** argv) {
       flags.Str("scenarios", "celebrity-join,regional-event,stationary"), ',');
   const std::vector<std::string> modes =
       StrSplit(flags.Str("modes", "static,rebalance"), ',');
+  const std::string csv_path = flags.Str("csv", "");
+  const std::string json_path = flags.Str("json", "");
+  flags.Finish();
 
   Banner("Fig 13 - elastic rebalancing vs. static placement",
          "expect: rebalance ties static on stationary; for celebrity-join and "
@@ -189,7 +192,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   table.Print();
-  table.WriteCsv(flags.Str("csv", ""));
-  table.WriteJson(flags.Str("json", ""));
+  table.WriteCsv(csv_path);
+  table.WriteJson(json_path);
   return 0;
 }

@@ -21,8 +21,9 @@
 // throughput within 10%); cross-machine deltas vs the baseline pin stay
 // advisory.
 //
-//   ./bench_fig14_scale --nodes 1000000 --requests 1000000 --json fig14.json
+//   ./bench_fig14_scale                                   # laptop scale (10k)
 //   ./bench_fig14_scale --nodes 50000 --requests 200000   # CI smoke scale
+//   ./bench_fig14_scale --nodes 1000000 --requests 1000000 --json fig14.json
 //
 // Planning at 1M nodes costs ~an hour; --save-schedule FILE persists the
 // plan (schedule_io text format) and --load-schedule FILE skips planning on
@@ -69,7 +70,7 @@ double Seconds(std::chrono::steady_clock::time_point start) {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const size_t nodes = static_cast<size_t>(flags.Int("nodes", 1000000));
+  const size_t nodes = static_cast<size_t>(flags.Int("nodes", 10000));
   const double edges_per_node = flags.Double("edges-per-node", 10.0);
   const size_t requests = static_cast<size_t>(flags.Int("requests", 200000));
   const size_t servers = static_cast<size_t>(flags.Int("servers", 32));
@@ -77,6 +78,11 @@ int main(int argc, char** argv) {
   const std::string planner_name = flags.Str("planner", "nosy");
   const std::string layouts_csv = flags.Str("layouts", "flat,compressed");
   const size_t repeats = static_cast<size_t>(flags.Int("repeats", 3));
+  const std::string load_schedule = flags.Str("load-schedule", "");
+  const std::string save_schedule = flags.Str("save-schedule", "");
+  const std::string csv_path = flags.Str("csv", "");
+  const std::string json_path = flags.Str("json", "");
+  flags.Finish();
 
   Banner("Figure 14 - million-user scale: plan time, serving, bytes/edge",
          "expect: compressed interest layout well under flat's ~4 bytes/edge "
@@ -101,8 +107,6 @@ int main(int argc, char** argv) {
 
   // Plan once: the schedule is layout-invariant (layouts only change how the
   // serving plane stores interest sets, never what it returns).
-  const std::string load_schedule = flags.Str("load-schedule", "");
-  const std::string save_schedule = flags.Str("save-schedule", "");
   Schedule schedule;
   std::string plan_label;
   t0 = std::chrono::steady_clock::now();
@@ -208,7 +212,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   table.Print();
-  table.WriteCsv(flags.Str("csv", ""));
-  table.WriteJson(flags.Str("json", ""));
+  table.WriteCsv(csv_path);
+  table.WriteJson(json_path);
   return 0;
 }

@@ -26,6 +26,9 @@ int main(int argc, char** argv) {
   const size_t iterations = static_cast<size_t>(flags.Int("iterations", 20));
   const uint64_t seed = static_cast<uint64_t>(flags.Int("seed", 42));
   const std::string planner_name = flags.Str("planner", "nosy");
+  const std::string csv_path = flags.Str("csv", "");
+  const std::string json_path = flags.Str("json", "");
+  flags.Finish();
 
   Banner("Figure 4 - predicted improvement ratio vs optimization iteration",
          "expect: sharp rise in early iterations, plateau <= ~2.2x; "
@@ -82,7 +85,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   table.Print();
-  table.WriteCsv(flags.Str("csv", ""));
-  table.WriteJson(flags.Str("json", ""));
+  table.WriteCsv(csv_path);
+  table.WriteJson(json_path);
   return 0;
 }

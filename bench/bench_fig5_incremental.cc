@@ -32,6 +32,9 @@ int main(int argc, char** argv) {
   const size_t nodes = static_cast<size_t>(flags.Int("nodes", 15000));
   const uint64_t seed = static_cast<uint64_t>(flags.Int("seed", 42));
   const std::string planner_name = flags.Str("planner", "nosy");
+  const std::string csv_path = flags.Str("csv", "");
+  const std::string json_path = flags.Str("json", "");
+  flags.Finish();
 
   Banner("Figure 5 - incremental vs static re-optimization under edge additions",
          "expect: incremental ratio degrades slowly with batch size; static "
@@ -93,7 +96,7 @@ int main(int argc, char** argv) {
   }
 
   table.Print();
-  table.WriteCsv(flags.Str("csv", ""));
-  table.WriteJson(flags.Str("json", ""));
+  table.WriteCsv(csv_path);
+  table.WriteJson(json_path);
   return 0;
 }

@@ -33,6 +33,9 @@ int main(int argc, char** argv) {
   const size_t requests = static_cast<size_t>(flags.Int("requests", 60000));
   const uint64_t seed = static_cast<uint64_t>(flags.Int("seed", 42));
   const std::string planners = flags.Str("planners", "nosy,hybrid");
+  const std::string csv_path = flags.Str("csv", "");
+  const std::string json_path = flags.Str("json", "");
+  flags.Finish();
 
   Banner("Figure 6 - actual per-client throughput vs number of servers",
          "expect: curves fall with fleet size; hybrid >= nosy on tiny fleets, "
@@ -80,7 +83,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  table.WriteCsv(flags.Str("csv", ""));
-  table.WriteJson(flags.Str("json", ""));
+  table.WriteCsv(csv_path);
+  table.WriteJson(json_path);
   return 0;
 }

@@ -35,6 +35,9 @@ int main(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(flags.Int("seed", 42));
   const std::string planners = flags.Str("planners", "nosy,hybrid");
   const std::string partitioners = flags.Str("partitioners", "hash");
+  const std::string csv_path = flags.Str("csv", "");
+  const std::string json_path = flags.Str("json", "");
+  flags.Finish();
 
   Banner("Figure 7 - predicted throughput (with data placement) vs servers",
          "expect: normalized throughput falls with fleet size; crossover "
@@ -100,7 +103,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  table.WriteCsv(flags.Str("csv", ""));
-  table.WriteJson(flags.Str("json", ""));
+  table.WriteCsv(csv_path);
+  table.WriteJson(json_path);
   return 0;
 }

@@ -58,6 +58,10 @@ int main(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(flags.Int("seed", 42));
   const std::string planners = flags.Str("planners", "nosy,hybrid");
   const size_t shards = static_cast<size_t>(flags.Int("shards", 0));
+  const std::string partitioner = flags.Str("partitioner", "hash");
+  const std::string csv_path = flags.Str("csv", "");
+  const std::string json_path = flags.Str("json", "");
+  flags.Finish();
 
   Graph g = MakeFlickrLike(nodes, seed).ValueOrDie();
   Workload w = GenerateWorkload(g, {.read_write_ratio = 5.0, .min_rate = 0.01})
@@ -76,7 +80,7 @@ int main(int argc, char** argv) {
     for (const std::string& name : StrSplit(planners, ',')) {
       ClusterOptions options;
       options.num_shards = shards;
-      options.partitioner = flags.Str("partitioner", "hash");
+      options.partitioner = partitioner;
       options.shard.planner = name;
       // Rates come from the explicit workload `w` (shared with the legacy
       // sweep); options.shard.workload is only read by the other overload.
@@ -93,8 +97,8 @@ int main(int argc, char** argv) {
                     Fmt(report.cross_messages_per_request, 3)});
     }
     table.Print();
-    table.WriteCsv(flags.Str("csv", ""));
-    table.WriteJson(flags.Str("json", ""));
+    table.WriteCsv(csv_path);
+    table.WriteJson(json_path);
     return 0;
   }
 
@@ -123,7 +127,7 @@ int main(int argc, char** argv) {
   }
 
   table.Print();
-  table.WriteCsv(flags.Str("csv", ""));
-  table.WriteJson(flags.Str("json", ""));
+  table.WriteCsv(csv_path);
+  table.WriteJson(json_path);
   return 0;
 }

@@ -31,6 +31,9 @@ int main(int argc, char** argv) {
   const size_t sample_edges = static_cast<size_t>(flags.Int("sample_edges", 20000));
   const uint64_t seed = static_cast<uint64_t>(flags.Int("seed", 42));
   const std::string planners = flags.Str("planners", "chitchat,nosy");
+  const std::string csv = flags.Str("csv", "");
+  const std::string json = flags.Str("json", "");
+  flags.Finish();
 
   Banner("Figure 9 - planner improvement ratios on graph samples vs "
          "read/write ratio",
@@ -85,9 +88,7 @@ int main(int argc, char** argv) {
       }
     }
     table.Print();
-    std::string csv = flags.Str("csv", "");
     if (!csv.empty()) table.WriteCsv(csv + "." + method);
-    std::string json = flags.Str("json", "");
     if (!json.empty()) table.WriteJson(json + "." + method);
     std::printf("\n");
   }

@@ -43,11 +43,44 @@ void IncrementalMaintainer::EraseFrom(std::vector<NodeId>& v, NodeId x) {
   if (it != v.end()) v.erase(it);
 }
 
-void IncrementalMaintainer::ServeDirect(NodeId u, NodeId v) {
+namespace {
+
+void Record(ScheduleDelta* delta, ScheduleChange::Kind kind, bool added,
+            NodeId u, NodeId v) {
+  if (delta != nullptr) delta->changes.push_back({kind, added, Edge{u, v}});
+}
+
+}  // namespace
+
+void IncrementalMaintainer::AddPush(NodeId u, NodeId v, ScheduleDelta* delta) {
+  if (schedule_->AddPush(u, v)) {
+    Record(delta, ScheduleChange::Kind::kPush, /*added=*/true, u, v);
+  }
+}
+
+void IncrementalMaintainer::AddPull(NodeId u, NodeId v, ScheduleDelta* delta) {
+  if (schedule_->AddPull(u, v)) {
+    Record(delta, ScheduleChange::Kind::kPull, /*added=*/true, u, v);
+  }
+}
+
+void IncrementalMaintainer::RemovePush(NodeId u, NodeId v, ScheduleDelta* delta) {
+  if (schedule_->RemovePush(u, v)) {
+    Record(delta, ScheduleChange::Kind::kPush, /*added=*/false, u, v);
+  }
+}
+
+void IncrementalMaintainer::RemovePull(NodeId u, NodeId v, ScheduleDelta* delta) {
+  if (schedule_->RemovePull(u, v)) {
+    Record(delta, ScheduleChange::Kind::kPull, /*added=*/false, u, v);
+  }
+}
+
+void IncrementalMaintainer::ServeDirect(NodeId u, NodeId v, ScheduleDelta* delta) {
   if (workload_->rp(u) <= workload_->rc(v)) {
-    schedule_->AddPush(u, v);
+    AddPush(u, v, delta);
   } else {
-    schedule_->AddPull(u, v);
+    AddPull(u, v, delta);
   }
 }
 
@@ -57,7 +90,7 @@ void IncrementalMaintainer::DropCoverEntry(NodeId u, NodeId v, NodeId hub) {
   if (auto* list = by_pull_.Find(EdgeKey(hub, v))) EraseFrom(*list, u);
 }
 
-Status IncrementalMaintainer::AddEdge(NodeId u, NodeId v) {
+Status IncrementalMaintainer::AddEdge(NodeId u, NodeId v, ScheduleDelta* delta) {
   if (u == v) return Status::InvalidArgument("self-loop");
   if (u >= workload_->num_users() || v >= workload_->num_users()) {
     return Status::OutOfRange(
@@ -66,36 +99,38 @@ Status IncrementalMaintainer::AddEdge(NodeId u, NodeId v) {
   }
   graph_->EnsureNodes(static_cast<size_t>(std::max(u, v)) + 1);
   if (!graph_->AddEdge(u, v)) return Status::OK();  // already present
-  if (!schedule_->IsAssigned(u, v)) ServeDirect(u, v);
+  if (!schedule_->IsAssigned(u, v)) ServeDirect(u, v, delta);
   return Status::OK();
 }
 
-void IncrementalMaintainer::RepairEdgeAdded(NodeId u, NodeId v) {
+void IncrementalMaintainer::RepairEdgeAdded(NodeId u, NodeId v,
+                                            ScheduleDelta* delta) {
   if (!graph_->HasEdge(u, v)) return;  // removed again while the plan flew
-  if (!schedule_->IsAssigned(u, v)) ServeDirect(u, v);
+  if (!schedule_->IsAssigned(u, v)) ServeDirect(u, v, delta);
 }
 
-Status IncrementalMaintainer::RemoveEdge(NodeId u, NodeId v) {
+Status IncrementalMaintainer::RemoveEdge(NodeId u, NodeId v, ScheduleDelta* delta) {
   if (!graph_->RemoveEdge(u, v)) {
     return Status::NotFound(StrFormat("edge %u->%u not in graph", u, v));
   }
-  RepairEdgeRemoved(u, v);
+  RepairEdgeRemoved(u, v, delta);
   return Status::OK();
 }
 
-void IncrementalMaintainer::RepairEdgeRemoved(NodeId u, NodeId v) {
+void IncrementalMaintainer::RepairEdgeRemoved(NodeId u, NodeId v,
+                                              ScheduleDelta* delta) {
   // The removed edge's own cover entry, if any.
   if (auto hub = schedule_->HubFor(u, v)) DropCoverEntry(u, v, *hub);
 
   // If u -> v was a supporting push (v acting as hub), re-serve dependents.
   if (schedule_->IsPush(u, v)) {
-    schedule_->RemovePush(u, v);
+    RemovePush(u, v, delta);
     if (auto* list = by_push_.Find(EdgeKey(u, v))) {
       std::vector<NodeId> dependents = *list;  // DropCoverEntry mutates *list
       for (NodeId y : dependents) {
         DropCoverEntry(u, y, v);
         if (graph_->HasEdge(u, y) && !schedule_->IsAssigned(u, y)) {
-          ServeDirect(u, y);
+          ServeDirect(u, y, delta);
           ++repairs_;
         }
       }
@@ -105,13 +140,13 @@ void IncrementalMaintainer::RepairEdgeRemoved(NodeId u, NodeId v) {
 
   // If u -> v was a supporting pull (u acting as hub), re-serve dependents.
   if (schedule_->IsPull(u, v)) {
-    schedule_->RemovePull(u, v);
+    RemovePull(u, v, delta);
     if (auto* list = by_pull_.Find(EdgeKey(u, v))) {
       std::vector<NodeId> dependents = *list;
       for (NodeId x : dependents) {
         DropCoverEntry(x, v, u);
         if (graph_->HasEdge(x, v) && !schedule_->IsAssigned(x, v)) {
-          ServeDirect(x, v);
+          ServeDirect(x, v, delta);
           ++repairs_;
         }
       }

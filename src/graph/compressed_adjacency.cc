@@ -52,32 +52,66 @@ bool ParseGraphLayout(const std::string& name, GraphLayout* out) {
   return true;
 }
 
+void CompressedLists::EncodeList(const std::vector<NodeId>& list,
+                                 std::vector<uint8_t>* bytes,
+                                 std::vector<SkipEntry>* skips) {
+  const uint64_t list_base = bytes->size();
+  for (size_t k = 0; k < list.size(); ++k) {
+    if (k > 0) {
+      PIGGY_CHECK_LT(list[k - 1], list[k]) << "lists must be strictly ascending";
+    }
+    if (k % kBlockEntries == 0) {
+      const uint64_t block_offset = bytes->size() - list_base;
+      PIGGY_CHECK_LE(block_offset, UINT32_MAX);
+      skips->push_back({list[k], static_cast<uint32_t>(block_offset)});
+      AppendVarint(list[k], bytes);
+    } else {
+      AppendVarint(list[k] - list[k - 1] - 1, bytes);
+    }
+  }
+}
+
 CompressedLists CompressedLists::FromLists(
     const std::vector<std::vector<NodeId>>& lists) {
   CompressedLists out;
   out.meta_.reserve(lists.size() + 1);
   for (const std::vector<NodeId>& list : lists) {
-    const uint64_t list_base = out.bytes_.size();
-    out.meta_.push_back({list_base, static_cast<uint32_t>(out.skips_.size()),
+    out.meta_.push_back({out.bytes_.size(),
+                         static_cast<uint32_t>(out.skips_.size()),
                          static_cast<uint32_t>(list.size())});
-    for (size_t k = 0; k < list.size(); ++k) {
-      if (k > 0) {
-        PIGGY_CHECK_LT(list[k - 1], list[k]) << "lists must be strictly ascending";
-      }
-      if (k % kBlockEntries == 0) {
-        const uint64_t block_offset = out.bytes_.size() - list_base;
-        PIGGY_CHECK_LE(block_offset, UINT32_MAX);
-        out.skips_.push_back({list[k], static_cast<uint32_t>(block_offset)});
-        AppendVarint(list[k], &out.bytes_);
-      } else {
-        AppendVarint(list[k] - list[k - 1] - 1, &out.bytes_);
-      }
-    }
+    EncodeList(list, &out.bytes_, &out.skips_);
     out.total_entries_ += list.size();
   }
   out.meta_.push_back(
       {out.bytes_.size(), static_cast<uint32_t>(out.skips_.size()), 0});
   return out;
+}
+
+void CompressedLists::ReplaceList(size_t i, const std::vector<NodeId>& list) {
+  PIGGY_CHECK_LT(i, num_lists());
+  std::vector<uint8_t> bytes;
+  std::vector<SkipEntry> skips;
+  EncodeList(list, &bytes, &skips);
+  ListMeta& m = meta_[i];
+  const ListMeta& next = meta_[i + 1];
+  const size_t old_bytes = next.byte_offset - m.byte_offset;
+  const size_t old_skips = next.skip_offset - m.skip_offset;
+  // Splice the payload and skip table; the block offsets are list-relative,
+  // so only the later lists' base offsets move.
+  bytes_.erase(bytes_.begin() + static_cast<ptrdiff_t>(m.byte_offset),
+               bytes_.begin() + static_cast<ptrdiff_t>(m.byte_offset + old_bytes));
+  bytes_.insert(bytes_.begin() + static_cast<ptrdiff_t>(m.byte_offset),
+                bytes.begin(), bytes.end());
+  skips_.erase(skips_.begin() + m.skip_offset,
+               skips_.begin() + m.skip_offset + static_cast<ptrdiff_t>(old_skips));
+  skips_.insert(skips_.begin() + m.skip_offset, skips.begin(), skips.end());
+  total_entries_ = total_entries_ - m.size + list.size();
+  m.size = static_cast<uint32_t>(list.size());
+  for (size_t j = i + 1; j < meta_.size(); ++j) {
+    meta_[j].byte_offset = meta_[j].byte_offset - old_bytes + bytes.size();
+    meta_[j].skip_offset = static_cast<uint32_t>(meta_[j].skip_offset - old_skips +
+                                                 skips.size());
+  }
 }
 
 void CompressedLists::DecodeInto(size_t i, std::vector<NodeId>* out) const {

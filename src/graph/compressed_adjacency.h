@@ -13,8 +13,8 @@
 // planners keep the flat CSR Graph — compression pays where lists are cold
 // (per-user interest sets), not where kernels stream them.
 //
-// Thread safety: immutable after construction; all accessors are const and
-// safe to call concurrently.
+// Thread safety: all accessors are const and safe to call concurrently;
+// ReplaceList is a writer and must not overlap them.
 
 #pragma once
 
@@ -40,7 +40,7 @@ const char* GraphLayoutName(GraphLayout layout);
 /// names, leaving *out untouched.
 bool ParseGraphLayout(const std::string& name, GraphLayout* out);
 
-/// \brief An immutable set of compressed sorted id lists.
+/// \brief A set of compressed sorted id lists.
 class CompressedLists {
  public:
   /// Values per skip block. 64 balances skip-table overhead (8 bytes per
@@ -51,6 +51,15 @@ class CompressedLists {
 
   /// Encodes `lists`; every list must be strictly ascending (checked).
   static CompressedLists FromLists(const std::vector<std::vector<NodeId>>& lists);
+
+  /// Re-encodes list i as `list` (strictly ascending, checked) in place. The
+  /// result is byte-identical to FromLists over the edited lists. Costs one
+  /// list's encode plus a splice of the payload and an offset fix-up over the
+  /// lists after i: O(total bytes + num_lists) per call, not O(list). Under
+  /// kCompressed every Follow/Unfollow pays this once; on 4 cores it measured
+  /// ~0.43 ms per churn op at 200k users and ~2.9 ms at 1M (flat: ~0.04 and
+  /// ~0.07 ms), still far below rebuilding the serving plane.
+  void ReplaceList(size_t i, const std::vector<NodeId>& list);
 
   size_t num_lists() const { return meta_.empty() ? 0 : meta_.size() - 1; }
 
@@ -78,6 +87,12 @@ class CompressedLists {
     NodeId first_value;    ///< first value of the block
     uint32_t byte_offset;  ///< offset of the block within the list's bytes
   };
+
+  /// Appends the encoding of one list to *bytes and its skip entries to
+  /// *skips (block offsets relative to the list's first byte).
+  static void EncodeList(const std::vector<NodeId>& list,
+                         std::vector<uint8_t>* bytes,
+                         std::vector<SkipEntry>* skips);
 
   // Per-list metadata lives in ONE struct so a point access touches one
   // cache line, not three parallel arrays — at millions of cold lists the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -25,13 +26,32 @@ bool SortedSubset(std::span<const NodeId> sub, std::span<const NodeId> super) {
   return true;
 }
 
+// Inserts x into the ascending tail v[from..]; returns false if present.
+bool InsertSorted(std::vector<NodeId>& v, size_t from, NodeId x) {
+  auto it = std::lower_bound(v.begin() + static_cast<ptrdiff_t>(from), v.end(), x);
+  if (it != v.end() && *it == x) return false;
+  v.insert(it, x);
+  return true;
+}
+
+// Erases x from the ascending tail v[from..]; returns false if absent.
+bool EraseSorted(std::vector<NodeId>& v, size_t from, NodeId x) {
+  auto it = std::lower_bound(v.begin() + static_cast<ptrdiff_t>(from), v.end(), x);
+  if (it == v.end() || *it != x) return false;
+  v.erase(it);
+  return true;
+}
+
+size_t FlatBytes(const std::vector<NodeId>& list) {
+  return list.capacity() * sizeof(NodeId);
+}
+
 }  // namespace
 
 AppClient::AppClient(const Graph& graph, const Schedule& schedule,
                      const Partitioner* partitioner, std::vector<ViewStore>* servers,
                      size_t feed_size, GraphLayout layout)
-    : graph_(graph),
-      partitioner_(partitioner),
+    : partitioner_(partitioner),
       servers_(servers),
       feed_size_(feed_size),
       layout_(layout) {
@@ -53,25 +73,22 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
     auto it = std::lower_bound(interest_[u].begin(), interest_[u].end(), u);
     interest_[u].insert(it, u);
   }
+  sources_.resize(n);
+  readers_.resize(n);
+  for (NodeId u = 0; u < n; ++u) {
+    // Ascending u keeps every inverse list sorted.
+    for (NodeId w : push_views_[u]) sources_[w].push_back(u);
+    for (NodeId w : pull_views_[u]) readers_[w].push_back(u);
+  }
   // Schedule-implied membership: view w can only ever contain events from
   // producers whose push set includes w. When that producer set is a subset
   // of interest[u] for every view u pulls, the query-side interest filter is
   // an identity — mark u filter-free and its queries skip the filter (and,
   // under the compressed layout, the per-query decode) entirely. Covers the
   // common non-hub pulls: own views and followee-owned views.
-  std::vector<std::vector<NodeId>> sources(n);
+  filter_free_.resize(n);
   for (NodeId u = 0; u < n; ++u) {
-    // Ascending u keeps every sources[w] sorted.
-    for (NodeId w : push_views_[u]) sources[w].push_back(u);
-  }
-  filter_free_.assign(n, 1);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId w : pull_views_[u]) {
-      if (!SortedSubset(sources[w], interest_[u])) {
-        filter_free_[u] = 0;
-        break;
-      }
-    }
+    filter_free_[u] = ComputeFilterFree(u, interest_[u]) ? 1 : 0;
   }
 
   if (layout_ == GraphLayout::kCompressed) {
@@ -80,10 +97,89 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
     interest_bytes_ = interest_compressed_.TotalBytes();
   } else {
     size_t bytes = interest_.size() * sizeof(std::vector<NodeId>);
-    for (const std::vector<NodeId>& list : interest_) {
-      bytes += list.capacity() * sizeof(NodeId);
-    }
+    for (const std::vector<NodeId>& list : interest_) bytes += FlatBytes(list);
     interest_bytes_ = bytes;
+  }
+}
+
+bool AppClient::ComputeFilterFree(NodeId u, std::span<const NodeId> interest) const {
+  for (NodeId w : pull_views_[u]) {
+    if (!SortedSubset(sources_[w], interest)) return false;
+  }
+  return true;
+}
+
+std::span<const NodeId> AppClient::Interest(NodeId u,
+                                            std::vector<NodeId>* scratch) const {
+  if (layout_ == GraphLayout::kCompressed) {
+    interest_compressed_.DecodeInto(u, scratch);
+    return *scratch;
+  }
+  return interest_[u];
+}
+
+void AppClient::SetInterest(NodeId u, NodeId producer, bool present) {
+  if (layout_ == GraphLayout::kCompressed) {
+    std::vector<NodeId> list;
+    interest_compressed_.DecodeInto(u, &list);
+    const bool changed = present ? InsertSorted(list, 0, producer)
+                                 : EraseSorted(list, 0, producer);
+    if (!changed) return;
+    interest_compressed_.ReplaceList(u, list);
+    interest_bytes_ = interest_compressed_.TotalBytes();
+    return;
+  }
+  std::vector<NodeId>& list = interest_[u];
+  interest_bytes_ -= FlatBytes(list);
+  if (present) {
+    InsertSorted(list, 0, producer);
+  } else {
+    EraseSorted(list, 0, producer);
+  }
+  interest_bytes_ += FlatBytes(list);
+}
+
+void AppClient::ApplyChurn(const Edge& edge, bool added, const ScheduleDelta& delta,
+                           std::span<const EventTuple> log) {
+  PIGGY_CHECK_LT(edge.src, num_users());
+  PIGGY_CHECK_LT(edge.dst, num_users());
+  SetInterest(edge.dst, edge.src, added);
+  // Users whose filter-free flag may have moved: the follower (interest set)
+  // and every reader of a view whose pull list or producer set changed.
+  std::vector<NodeId> stale = {edge.dst};
+  for (const ScheduleChange& change : delta.changes) {
+    const NodeId u = change.edge.src;
+    const NodeId v = change.edge.dst;
+    if (change.kind == ScheduleChange::Kind::kPush) {
+      // u's shares are written into v's view.
+      ViewStore& server = (*servers_)[partitioner_->ServerOf(v)];
+      if (change.added) {
+        InsertSorted(push_views_[u], 1, v);
+        if (InsertSorted(sources_[v], 0, u)) server.MergeIn(v, u, log);
+      } else {
+        EraseSorted(push_views_[u], 1, v);
+        if (EraseSorted(sources_[v], 0, u)) {
+          server.PurgeAndRefill(v, u, sources_[v], log);
+        }
+      }
+      stale.insert(stale.end(), readers_[v].begin(), readers_[v].end());
+    } else {
+      // v's queries read u's view.
+      if (change.added) {
+        InsertSorted(pull_views_[v], 1, u);
+        InsertSorted(readers_[u], 0, v);
+      } else {
+        EraseSorted(pull_views_[v], 1, u);
+        EraseSorted(readers_[u], 0, v);
+      }
+      stale.push_back(v);
+    }
+  }
+  std::sort(stale.begin(), stale.end());
+  stale.erase(std::unique(stale.begin(), stale.end()), stale.end());
+  std::vector<NodeId> scratch;
+  for (NodeId u : stale) {
+    filter_free_[u] = ComputeFilterFree(u, Interest(u, &scratch)) ? 1 : 0;
   }
 }
 

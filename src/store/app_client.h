@@ -11,10 +11,16 @@
 // Push and pull sets come from the request schedule; the client logic is
 // schedule-agnostic exactly as the paper stresses.
 //
-// Thread safety: the materialized view lists are immutable after
-// construction, request grouping uses per-call scratch, and the counters are
+// Churn is applied in place (ApplyChurn): one Follow/Unfollow edits the
+// interest set of the follower, the view lists named by the schedule delta,
+// the inverse indexes, and the filter-free flags of the users whose pulled
+// views changed — never the whole client.
+//
+// Thread safety: request grouping uses per-call scratch and the counters are
 // relaxed atomics — ShareEvent / QueryStream may be called from any number
-// of threads concurrently.
+// of threads concurrently. The view lists and interest sets change only in
+// ApplyChurn, which must not overlap any other call (FeedService runs it
+// under its exclusive lock).
 
 #pragma once
 
@@ -23,6 +29,7 @@
 #include <span>
 #include <vector>
 
+#include "core/incremental.h"
 #include "core/schedule.h"
 #include "graph/compressed_adjacency.h"
 #include "graph/graph.h"
@@ -50,7 +57,8 @@ struct ClientMetrics {
 /// \brief One application-logic server acting as data-store client.
 class AppClient {
  public:
-  /// \param graph       social graph (borrowed); provides interest sets
+  /// \param graph       social graph (read during construction only);
+  ///                    provides the interest sets
   /// \param schedule    request schedule (borrowed only during construction)
   /// \param partitioner view placement (borrowed)
   /// \param servers     data-store fleet (borrowed, mutated by requests)
@@ -65,6 +73,23 @@ class AppClient {
 
   /// Assembles u's event stream (Algorithm 3, query path).
   std::vector<EventTuple> QueryStream(NodeId u);
+
+  /// Patches the client and the fleet's views for one churn op: graph edge
+  /// `edge` (producer -> follower) was added or removed, and the schedule
+  /// changed by `delta`. `log` is every shared event in share order; views
+  /// gaining or losing a producer are merged from / refilled out of it.
+  /// Afterwards every view list, interest set, view and filter-free flag is
+  /// what a client built from the new graph and schedule, fed `log`, holds.
+  /// Must not overlap any other call on this client.
+  void ApplyChurn(const Edge& edge, bool added, const ScheduleDelta& delta,
+                  std::span<const EventTuple> log);
+
+  /// u's interest set ({u} ∪ followees, sorted). Under the compressed layout
+  /// it is decoded into *scratch and the span points there.
+  std::span<const NodeId> Interest(NodeId u, std::vector<NodeId>* scratch) const;
+
+  /// Users this client serves.
+  size_t num_users() const { return push_views_.size(); }
 
   /// Snapshot of the counters (relaxed loads; exact once writers quiesce).
   ClientMetrics metrics() const {
@@ -89,7 +114,7 @@ class AppClient {
 
   /// True when u's queries skip the interest filter entirely: the schedule
   /// guarantees every producer that can land in u's pulled views is already
-  /// in u's interest set (precomputed at construction).
+  /// in u's interest set (computed at construction, kept by ApplyChurn).
   bool QueryFilterFree(NodeId u) const { return filter_free_[u] != 0; }
 
   /// The interest-set storage layout this client was built with.
@@ -100,15 +125,19 @@ class AppClient {
   size_t InterestBytes() const { return interest_bytes_; }
 
  private:
-  const Graph& graph_;
   const Partitioner* partitioner_;
   std::vector<ViewStore>* servers_;
   size_t feed_size_;
 
-  // Materialized per-user view lists: h[u] / l[u] plus the own view.
-  // Immutable after construction (rebuilds create a fresh client).
+  // Materialized per-user view lists: h[u] / l[u] plus the own view (own view
+  // first, the schedule's entries after it in ascending order).
   std::vector<std::vector<NodeId>> push_views_;
   std::vector<std::vector<NodeId>> pull_views_;
+  // The inverses: sources_[w] = sorted {x : w in push_views_[x]} (the
+  // producers whose events view w stores) and readers_[w] = sorted
+  // {u : w in pull_views_[u]} (the users whose queries read view w).
+  std::vector<std::vector<NodeId>> sources_;
+  std::vector<std::vector<NodeId>> readers_;
   // interest[u] = sorted {u} ∪ followees(u); the query-side filter. Stored
   // flat (interest_) or delta-varint compressed (interest_compressed_,
   // decoded into per-call scratch on queries) per layout_.
@@ -119,8 +148,7 @@ class AppClient {
   // filter_free_[u] != 0 when every producer reachable through u's pull set
   // is schedule-guaranteed to be in interest[u], making the query-side
   // filter an identity — those queries never touch the interest set (and
-  // under the compressed layout never pay the decode). One byte per user,
-  // immutable after construction.
+  // under the compressed layout never pay the decode). One byte per user.
   std::vector<uint8_t> filter_free_;
 
   std::atomic<uint64_t> share_requests_{0};
@@ -134,6 +162,13 @@ class AppClient {
     std::vector<NodeId> views;
   };
   std::vector<ServerBatch> GroupByServer(std::span<const NodeId> views) const;
+
+  /// Whether every view u pulls holds only producers in `interest` (u's).
+  bool ComputeFilterFree(NodeId u, std::span<const NodeId> interest) const;
+  /// Adds (present) or removes `producer` in u's interest set, re-encoding
+  /// only that list under the compressed layout (whose splice still costs
+  /// O(total interest bytes + users); see CompressedLists::ReplaceList).
+  void SetInterest(NodeId u, NodeId producer, bool present);
 };
 
 }  // namespace piggy

@@ -509,45 +509,75 @@ Status FeedService::BackgroundReplanOnce(bool refresh_workload) {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (prototype_ != nullptr) log_copy = prototype_->EventLog();
   }
-  auto fresh_snapshot = std::make_unique<Graph>(std::move(planning_snapshot));
-  bool plane_ok = false;
   std::unique_ptr<Prototype> plane;
   {
     Result<std::unique_ptr<Prototype>> built =
-        Prototype::Create(*fresh_snapshot, plan.schedule, options_.prototype);
+        Prototype::Create(planning_snapshot, plan.schedule, options_.prototype);
+    Status restored = built.status();
     if (built.ok()) {
       plane = std::move(built).MoveValueOrDie();
-      Status restored =
-          log_copy.empty() ? Status::OK() : plane->RestoreEvents(log_copy);
-      if (restored.ok()) {
-        // Replay traffic is bookkeeping, not served requests.
-        plane->client().ResetMetrics();
-        plane_ok = true;
-      }
+      if (!log_copy.empty()) restored = plane->RestoreEvents(log_copy);
+    }
+    if (!restored.ok()) {
+      disarm_journal();
+      return restored;
     }
   }
 
-  // Phase 4 — publish under one brief exclusive section: swap the schedule,
-  // re-apply journaled churn, and either swap the pre-built plane in (after
-  // replaying shares that raced the build) or mark the plane for a lazy
-  // rebuild when churn invalidated its view lists.
+  // Phase 4 — publish under one brief exclusive section: catch the pre-built
+  // plane up with the shares and churn that raced the build, then swap the
+  // schedule and the plane in together.
   std::unique_lock<std::shared_mutex> lock(mu_);
   journal_active_ = false;
   if (replan_cancel_.load(std::memory_order_acquire) || plan_epoch_ != epoch) {
     churn_journal_.clear();
     return Status::OK();  // superseded by shutdown or a newer plan
   }
-  schedule_ = std::move(plan.schedule);
-  maintainer_->RebuildIndexes();
-  const size_t raced_churn = churn_journal_.size();
-  for (const ChurnRecord& rec : churn_journal_) {
-    if (rec.added) {
-      maintainer_->RepairEdgeAdded(rec.producer, rec.consumer);
-    } else {
-      maintainer_->RepairEdgeRemoved(rec.producer, rec.consumer);
+  // Shares that arrived during the build: a sorted log diff (the log only
+  // grows while the epoch holds, and ids equal timestamps by construction).
+  std::vector<EventTuple> raced_shares;
+  {
+    const std::vector<EventTuple> current =
+        prototype_ != nullptr ? prototype_->EventLog() : std::vector<EventTuple>{};
+    size_t matched = 0;
+    for (const EventTuple& e : current) {
+      if (matched < log_copy.size() && log_copy[matched] == e) {
+        ++matched;
+      } else {
+        raced_shares.push_back(e);
+      }
+    }
+    bool diff_ok = matched == log_copy.size();
+    for (const EventTuple& e : raced_shares) diff_ok = diff_ok && e.event_id == e.timestamp;
+    if (!diff_ok) {
+      churn_journal_.clear();
+      return Status::Internal("event log diverged from the pre-built plane's copy");
     }
   }
+  schedule_ = std::move(plan.schedule);
+  maintainer_->RebuildIndexes();
+  // The plane was built from the planned schedule and the planning snapshot:
+  // replay the raced shares through it first, then re-apply the raced churn
+  // through the Sec-3.3 repair, patching the plane with each repair's delta
+  // exactly as a live Follow/Unfollow would.
+  for (const EventTuple& e : raced_shares) plane->ShareEvent(e.producer, e.event_id);
+  const size_t raced_churn = churn_journal_.size();
+  for (const ChurnRecord& rec : churn_journal_) {
+    ScheduleDelta delta;
+    if (rec.added) {
+      maintainer_->RepairEdgeAdded(rec.producer, rec.consumer, &delta);
+    } else {
+      maintainer_->RepairEdgeRemoved(rec.producer, rec.consumer, &delta);
+    }
+    plane->ApplyChurn(Edge{rec.producer, rec.consumer}, rec.added, delta);
+  }
   churn_journal_.clear();
+  // Replay traffic is bookkeeping, not served requests.
+  plane->client().ResetMetrics();
+  AccumulateClientMetrics();
+  prototype_ = std::move(plane);
+  ++serving_rebuilds_;
+  serving_dirty_ = false;
   options_.planner = plan.planner;
   plan_advantage_ =
       plan.final_cost > 0 ? plan.hybrid_cost / plan.final_cost : 1.0;
@@ -573,43 +603,12 @@ Status FeedService::BackgroundReplanOnce(bool refresh_workload) {
   }
   if (durability_ != nullptr) {
     // Same durable commit as the inline path; the event log is current under
-    // this exclusive section, so snapshotting before the plane swap is safe.
+    // this exclusive section.
     PIGGY_RETURN_NOT_OK(durability_->LogReplanCommit());
     if (options_.durability.snapshot_on_replan) {
       PIGGY_RETURN_NOT_OK(WriteSnapshotLocked());
     }
   }
-
-  if (raced_churn == 0 && plane_ok && prototype_ != nullptr) {
-    // No churn raced: the pre-built plane's view lists match the published
-    // schedule. Replay the shares that arrived during the build (a sorted
-    // log diff — ids equal timestamps by construction) and swap in O(delta).
-    std::vector<EventTuple> current = prototype_->EventLog();
-    std::vector<EventTuple> delta;
-    size_t matched = 0;
-    for (const EventTuple& e : current) {
-      if (matched < log_copy.size() && log_copy[matched] == e) {
-        ++matched;
-      } else {
-        delta.push_back(e);
-      }
-    }
-    bool delta_ok = matched == log_copy.size();
-    for (const EventTuple& e : delta) {
-      if (e.event_id != e.timestamp) delta_ok = false;
-    }
-    if (delta_ok) {
-      for (const EventTuple& e : delta) plane->ShareEvent(e.producer, e.event_id);
-      plane->client().ResetMetrics();
-      AccumulateClientMetrics();
-      prototype_ = std::move(plane);          // old plane released first ...
-      snapshot_ = std::move(fresh_snapshot);  // ... then the graph it borrowed
-      ++serving_rebuilds_;
-      serving_dirty_ = false;
-      return Status::OK();
-    }
-  }
-  serving_dirty_ = true;  // lazy rebuild on the next request
   return Status::OK();
 }
 
@@ -632,13 +631,16 @@ Status FeedService::RefreshServingLocked() {
   if (prototype_ != nullptr) {
     AccumulateClientMetrics();
     log = prototype_->EventLog();
-    prototype_.reset();  // must drop its borrow before snapshot_ is replaced
+    prototype_.reset();  // release the old fleet before building the new one
     ++serving_rebuilds_;
   }
-  PIGGY_ASSIGN_OR_RETURN(Graph snapshot, graph_.Snapshot());
-  snapshot_ = std::make_unique<Graph>(std::move(snapshot));
-  PIGGY_ASSIGN_OR_RETURN(prototype_, Prototype::Create(*snapshot_, schedule_,
-                                                       options_.prototype));
+  {
+    // The plane copies the interest sets it needs; the CSR snapshot is
+    // scratch for the build only.
+    PIGGY_ASSIGN_OR_RETURN(Graph snapshot, graph_.Snapshot());
+    PIGGY_ASSIGN_OR_RETURN(prototype_, Prototype::Create(snapshot, schedule_,
+                                                         options_.prototype));
+  }
   if (!log.empty()) {
     PIGGY_RETURN_NOT_OK(prototype_->RestoreEvents(log));
     // Replay traffic is bookkeeping, not served requests: keep it out of the
@@ -717,7 +719,10 @@ Result<std::vector<EventTuple>> FeedService::QueryStream(NodeId u) {
         (queries_since_audit_.fetch_add(1, std::memory_order_relaxed) + 1) %
                 options_.audit_every ==
             0) {
-      PIGGY_RETURN_NOT_OK(prototype_->AuditStream(u, stream, token));
+      // Followees from graph_, not the plane: a churn patch that missed an
+      // interest-set edit then fails the audit instead of agreeing with it.
+      PIGGY_RETURN_NOT_OK(
+          prototype_->AuditStream(u, stream, token, graph_.InNeighbors(u)));
       audited_queries_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -783,15 +788,18 @@ Status FeedService::ObserveRequest(bool is_share, NodeId u) {
   return Status::OK();
 }
 
-Status FeedService::ApplyChurnLocked(Status churn_result, bool added,
-                                     NodeId producer, NodeId consumer) {
-  PIGGY_RETURN_NOT_OK(churn_result);
+Status FeedService::ApplyChurnLocked(bool added, NodeId producer, NodeId consumer,
+                                     const ScheduleDelta& delta) {
+  // Patch the live plane in place. A plane awaiting a replan's rebuild is
+  // skipped: the rebuild reads the current graph and schedule anyway.
+  if (prototype_ != nullptr && !serving_dirty_) {
+    prototype_->ApplyChurn(Edge{producer, consumer}, added, delta);
+  }
   if (durability_ != nullptr && !replaying_) {
     PIGGY_RETURN_NOT_OK(durability_->LogChurn(added, producer, consumer));
   }
   ++churn_ops_;
   ++churn_since_plan_;
-  serving_dirty_ = true;
   if (journal_active_) churn_journal_.push_back({added, producer, consumer});
   // During WAL replay the policy stays inert: replans happen exactly where
   // kReplanCommit records mark them, not where a counter would re-fire.
@@ -827,8 +835,9 @@ Status FeedService::Follow(NodeId follower, NodeId producer) {
       return Status::InvalidArgument("users may not follow themselves");
     }
     if (graph_.HasEdge(producer, follower)) return Status::OK();  // already follows
-    PIGGY_RETURN_NOT_OK(ApplyChurnLocked(maintainer_->AddEdge(producer, follower),
-                                         /*added=*/true, producer, follower));
+    ScheduleDelta delta;
+    PIGGY_RETURN_NOT_OK(maintainer_->AddEdge(producer, follower, &delta));
+    PIGGY_RETURN_NOT_OK(ApplyChurnLocked(/*added=*/true, producer, follower, delta));
   }
   return MaybeSnapshot();
 }
@@ -841,9 +850,9 @@ Status FeedService::Unfollow(NodeId follower, NodeId producer) {
       return Status::InvalidArgument("unknown user in Unfollow");
     }
     if (!graph_.HasEdge(producer, follower)) return Status::OK();  // not following
-    PIGGY_RETURN_NOT_OK(
-        ApplyChurnLocked(maintainer_->RemoveEdge(producer, follower),
-                         /*added=*/false, producer, follower));
+    ScheduleDelta delta;
+    PIGGY_RETURN_NOT_OK(maintainer_->RemoveEdge(producer, follower, &delta));
+    PIGGY_RETURN_NOT_OK(ApplyChurnLocked(/*added=*/false, producer, follower, delta));
   }
   return MaybeSnapshot();
 }

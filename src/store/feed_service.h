@@ -15,9 +15,14 @@
 //   auto m = service->Metrics();            // cost + serving counters
 //
 // Lifecycle under churn: Follow/Unfollow apply the paper's Sec.-3.3 local
-// rules immediately (the schedule never goes invalid), and the serving plane
-// (whose per-user view lists are materialized from the schedule) is rebuilt
-// lazily before the next Share/Query — stored events survive rebuilds via
+// rules immediately (the schedule never goes invalid) and patch the serving
+// plane in place with the push/pull entries the repair changed
+// (Prototype::ApplyChurn): only the follower's interest set, the changed view
+// lists and the views they name move, each view merged from or refilled out
+// of the event log. The patched plane is bit-identical to one rebuilt from
+// the new graph and schedule with every stored event replayed. Only a
+// wholesale schedule swap (Replan) rebuilds the plane, lazily before the
+// next Share/Query, replaying the stored events via
 // Prototype::RestoreEvents. Accumulated churn degrades schedule *quality*,
 // never validity; FeedServiceOptions::replan picks the re-optimization
 // policy: never (explicit Replan() only), every N churn ops (the blind
@@ -31,8 +36,8 @@
 // Share / QueryStream / GetMetrics / Validate take a reader (shared) lock and
 // run concurrently from any number of client threads — the plane underneath
 // (fleet, client, audit log) is internally synchronized. Follow / Unfollow /
-// Replan take the writer (exclusive) lock; churn is a brief local repair, so
-// writers never stall readers for long.
+// Replan take the writer (exclusive) lock; churn is a brief local repair of
+// the schedule and the plane, so writers never stall readers for long.
 //
 // With `background_replan` set (or via StartBackgroundReplan), policy-
 // triggered planner runs move to a dedicated thread: it snapshots the graph +
@@ -41,9 +46,9 @@
 // pre-builds the replacement serving plane off-thread, and publishes
 // schedule + plane in one brief exclusive section. Follow/Unfollow that
 // raced the plan are journaled and re-applied to the fresh schedule through
-// the Sec-3.3 local repair at publish time; shares that raced are replayed
-// into the pre-built plane by a log diff. Serving threads only ever block
-// for the swap, never for the planner.
+// the Sec-3.3 local repair at publish time, patching the pre-built plane with
+// each repair's delta; shares that raced are replayed into it first by a log
+// diff. Serving threads only ever block for the swap, never for the planner.
 
 #pragma once
 
@@ -200,7 +205,7 @@ class FeedService {
     double drift_score = 0;       ///< last drift evaluation (0 = no drift)
     size_t repairs = 0;           ///< hub covers re-served due to unfollows
     size_t churn_ops = 0;         ///< Follow/Unfollow ops applied
-    size_t serving_rebuilds = 0;  ///< lazy serving-plane reconstructions
+    size_t serving_rebuilds = 0;  ///< serving-plane rebuilds (replans only)
     uint64_t shares = 0;
     uint64_t queries = 0;
     uint64_t audited_queries = 0;
@@ -243,14 +248,16 @@ class FeedService {
   const Schedule& schedule() const { return schedule_; }
   const FeedServiceOptions& options() const { return options_; }
 
-  /// The serving plane, rebuilt first if churn left it stale. Exposed for
+  /// The serving plane, rebuilt first if a replan left it stale. Exposed for
   /// measurement code (benches) that inspects per-server load. NOT safe
-  /// against concurrent churn/replans — the pointer is invalidated by the
-  /// next rebuild; single-threaded measurement use only.
+  /// against concurrent churn/replans — churn patches the plane in place and
+  /// the next rebuild invalidates the pointer; single-threaded measurement
+  /// use only.
   Result<Prototype*> ServingPlane();
 
-  /// Events trimmed from serving views since the last plane rebuild (caps
-  /// provable audit completeness, see Prototype::AuditStream). Thread-safe.
+  /// Events trimmed from the current plane's views, including its rebuild
+  /// replay and churn patches (caps provable audit completeness, see
+  /// Prototype::AuditStream). Thread-safe.
   Result<uint64_t> TrimmedEvents();
 
  private:
@@ -263,8 +270,8 @@ class FeedService {
     NodeId consumer = 0;
   };
 
-  /// Upgrades to the exclusive lock and rebuilds the serving plane if churn
-  /// or a replan left it stale. On return the shared lock is held again and
+  /// Upgrades to the exclusive lock and rebuilds the serving plane if a
+  /// replan left it stale (or none exists yet). On return the shared lock is held again and
   /// prototype_ is fresh; on error the shared lock is released.
   Status EnsureServing(std::shared_lock<std::shared_mutex>& lock);
 
@@ -289,9 +296,11 @@ class FeedService {
   /// before the serving plane is torn down). Requires mu_ held exclusively.
   void AccumulateClientMetrics();
 
-  /// Churn bookkeeping + replan policy. Requires mu_ held exclusively.
-  Status ApplyChurnLocked(Status churn_result, bool added, NodeId producer,
-                          NodeId consumer);
+  /// After a successful Sec-3.3 repair: patches the serving plane with the
+  /// repair's `delta`, then churn bookkeeping + replan policy. Requires mu_
+  /// held exclusively.
+  Status ApplyChurnLocked(bool added, NodeId producer, NodeId consumer,
+                          const ScheduleDelta& delta);
 
   /// Builds a SnapshotData from the live state (rates, schedule, event log)
   /// and rotates the durability pair. Requires mu_ held exclusively. No-op
@@ -342,11 +351,10 @@ class FeedService {
   Schedule schedule_;
   std::unique_ptr<IncrementalMaintainer> maintainer_;
 
-  // Serving plane: a CSR snapshot of graph_ plus the prototype bound to it.
-  // serving_dirty_ means graph_/schedule_ moved on and both must be rebuilt
-  // before the next request. Heap-held so a pre-built replacement can be
-  // swapped in (prototype_ borrows *snapshot_).
-  std::unique_ptr<Graph> snapshot_;
+  // Serving plane, materialized from graph_ + schedule_ and patched in place
+  // by churn. serving_dirty_ means a replan swapped schedule_ wholesale and
+  // the plane must be rebuilt before the next request. Heap-held so a
+  // pre-built replacement can be swapped in.
   std::unique_ptr<Prototype> prototype_;
   bool serving_dirty_ = false;
 

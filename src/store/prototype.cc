@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -11,8 +12,7 @@
 
 namespace piggy {
 
-Prototype::Prototype(const Graph& graph, const PrototypeOptions& options)
-    : graph_(graph), options_(options) {}
+Prototype::Prototype(const PrototypeOptions& options) : options_(options) {}
 
 Result<std::unique_ptr<Prototype>> Prototype::Create(const Graph& graph,
                                                      const Schedule& schedule,
@@ -23,7 +23,7 @@ Result<std::unique_ptr<Prototype>> Prototype::Create(const Graph& graph,
   if (options.feed_size == 0) {
     return Status::InvalidArgument("feed_size must be positive");
   }
-  auto proto = std::unique_ptr<Prototype>(new Prototype(graph, options));
+  auto proto = std::unique_ptr<Prototype>(new Prototype(options));
   proto->partitioner_ = std::make_unique<HashPartitioner>(options.num_servers,
                                                           options.partition_salt);
   proto->servers_.reserve(options.num_servers);
@@ -84,15 +84,29 @@ std::vector<EventTuple> Prototype::QueryStream(NodeId u) {
   return client_->QueryStream(u);
 }
 
+void Prototype::ApplyChurn(const Edge& edge, bool added, const ScheduleDelta& delta) {
+  std::lock_guard<std::mutex> lock(log_mu_);
+  client_->ApplyChurn(edge, added, delta, event_log_);
+}
+
 Status Prototype::AuditStream(NodeId u, const std::vector<EventTuple>& stream,
                               const AuditToken& token) const {
+  // The interest set is exactly {u} ∪ followees(u), sorted.
+  std::vector<NodeId> scratch;
+  return AuditStream(u, stream, token, client_->Interest(u, &scratch));
+}
+
+Status Prototype::AuditStream(NodeId u, const std::vector<EventTuple>& stream,
+                              const AuditToken& token,
+                              std::span<const NodeId> followees) const {
   // Soundness: only events of followed producers (or u itself), newest-first.
-  auto followees = graph_.InNeighbors(u);
+  auto interesting = [u, &followees](NodeId producer) {
+    return producer == u ||
+           std::binary_search(followees.begin(), followees.end(), producer);
+  };
   for (size_t i = 0; i < stream.size(); ++i) {
     const EventTuple& e = stream[i];
-    bool allowed = e.producer == u ||
-                   std::binary_search(followees.begin(), followees.end(), e.producer);
-    if (!allowed) {
+    if (!interesting(e.producer)) {
       return Status::Internal(StrFormat("stream of %u leaks producer %u", u,
                                         e.producer));
     }
@@ -123,10 +137,7 @@ Status Prototype::AuditStream(NodeId u, const std::vector<EventTuple>& stream,
   }
   std::vector<EventTuple> oracle;
   for (const EventTuple& e : log) {
-    if (e.producer == u ||
-        std::binary_search(followees.begin(), followees.end(), e.producer)) {
-      oracle.push_back(e);
-    }
+    if (interesting(e.producer)) oracle.push_back(e);
   }
   oracle = TopKNewest(std::move(oracle), options_.feed_size);
   if (oracle.size() != stream.size()) {
@@ -175,7 +186,7 @@ Status Prototype::RestoreEvents(const std::vector<EventTuple>& log) {
     if (i > 0 && log[i].timestamp < log[i - 1].timestamp) {
       return Status::InvalidArgument("event log not in share (timestamp) order");
     }
-    if (log[i].producer >= graph_.num_nodes()) {
+    if (log[i].producer >= num_users()) {
       return Status::InvalidArgument("event log references unknown producer");
     }
   }

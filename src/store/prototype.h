@@ -18,7 +18,9 @@
 // the audited query — BeginAudit captures a token (log version + quiescence)
 // before the query and AuditStream downgrades to soundness-only checks when
 // the token shows a racing share; single-threaded drivers always get the
-// full oracle comparison.
+// full oracle comparison. ApplyChurn is the exception: it patches the plane
+// in place and must not overlap any other call (FeedService holds its
+// exclusive lock around it).
 
 #pragma once
 
@@ -26,8 +28,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
+#include "core/incremental.h"
 #include "core/schedule.h"
 #include "graph/compressed_adjacency.h"
 #include "graph/graph.h"
@@ -56,7 +60,8 @@ struct PrototypeOptions {
 /// \brief A running system instance.
 class Prototype {
  public:
-  /// Builds the fleet and client for a graph + finalized schedule.
+  /// Builds the fleet and client for a graph + finalized schedule. The graph
+  /// is read during the call only; the plane keeps its own interest sets.
   static Result<std::unique_ptr<Prototype>> Create(const Graph& graph,
                                                    const Schedule& schedule,
                                                    const PrototypeOptions& options);
@@ -82,6 +87,15 @@ class Prototype {
   /// Assembles u's event stream.
   std::vector<EventTuple> QueryStream(NodeId u);
 
+  /// Patches the plane for one churn op in place: graph edge `edge`
+  /// (producer -> follower) was added or removed and the schedule changed by
+  /// `delta` (see IncrementalMaintainer). Views are merged from / refilled
+  /// out of the event log, so afterwards every view, view list, interest set
+  /// and filter-free flag equals what Create on the new graph and schedule
+  /// followed by RestoreEvents(EventLog()) builds; only the fleet's trim
+  /// counters may differ. Must not overlap any other call on this plane.
+  void ApplyChurn(const Edge& edge, bool added, const ScheduleDelta& delta);
+
   /// Pre-query capture for exact audits under concurrency: remembers the log
   /// version and whether any share was in flight.
   struct AuditToken {
@@ -100,7 +114,15 @@ class Prototype {
   /// Checks a query result against the audit log oracle: with unbounded (or
   /// untrimmed) views the stream must equal the k newest events of u's
   /// followees (+ u); with trimming it must at least be sound (only followee
-  /// events, newest-first). Returns the first violation found.
+  /// events, newest-first). Returns the first violation.
+  ///
+  /// `followees` (sorted ascending) should come from a source independent of
+  /// the serving plane, e.g. FeedService's authoritative DynamicGraph: then a
+  /// churn patch that failed to add or drop a followee shows up as a leaked
+  /// or missing producer. The overloads without it read the client's own
+  /// interest set, for callers holding no separate graph
+  /// (RunWorkloadDriver); those check delivery and trimming but not the
+  /// patched interest sets themselves.
   Status AuditStream(NodeId u, const std::vector<EventTuple>& stream) const {
     return AuditStream(u, stream, BeginAudit());
   }
@@ -111,6 +133,11 @@ class Prototype {
   /// (token quiescent, log version unchanged, nothing in flight now).
   Status AuditStream(NodeId u, const std::vector<EventTuple>& stream,
                      const AuditToken& token) const;
+
+  /// Same, against the given followees of u instead of its interest set.
+  Status AuditStream(NodeId u, const std::vector<EventTuple>& stream,
+                     const AuditToken& token,
+                     std::span<const NodeId> followees) const;
 
   /// Modeled per-client actual throughput (requests/second) given the
   /// messages-per-request observed since the last ResetMetrics.
@@ -125,7 +152,8 @@ class Prototype {
   const AppClient& client() const { return *client_; }
   std::vector<ViewStore>& servers() { return servers_; }
   const Partitioner& partitioner() const { return *partitioner_; }
-  const Graph& graph() const { return graph_; }
+  /// Users the plane serves (the graph's node count at Create).
+  size_t num_users() const { return client_->num_users(); }
   const PrototypeOptions& options() const { return options_; }
 
   /// Total events dropped by view trimming across the fleet.
@@ -144,16 +172,17 @@ class Prototype {
   /// resume past the replayed maxima. Used by FeedService to rebuild the
   /// serving plane around a new schedule without losing stored events.
   /// Fails if events were already shared or the log is not in share order.
+  /// Every rebuild goes through this replay, which is why churn patches the
+  /// plane with ApplyChurn instead.
   Status RestoreEvents(const std::vector<EventTuple>& log);
 
   void ResetMetrics();
 
  private:
-  Prototype(const Graph& graph, const PrototypeOptions& options);
+  explicit Prototype(const PrototypeOptions& options);
 
   void AppendAndDeliver(NodeId u, uint64_t event_id, uint64_t timestamp);
 
-  const Graph& graph_;
   PrototypeOptions options_;
   std::unique_ptr<HashPartitioner> partitioner_;
   std::vector<ViewStore> servers_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <mutex>
 #include <span>
 #include <utility>
@@ -48,6 +49,89 @@ void ViewStore::UpdateBatch(std::span<const NodeId> views, const EventTuple& eve
     }
     ++metrics_.view_writes;
   }
+}
+
+namespace {
+
+// Share (oldest-first) order of the log and of every view.
+bool OlderThan(const EventTuple& a, const EventTuple& b) { return NewerThan(b, a); }
+
+}  // namespace
+
+void ViewStore::MergeIn(NodeId owner, NodeId producer,
+                        std::span<const EventTuple> log) {
+  std::lock_guard<std::mutex> lock(*mu_);
+  std::vector<EventTuple>* view = views_.Find(owner);
+  const size_t cap = view_capacity_;
+  // In a full view anything older than its oldest event would be trimmed
+  // right away, so the backward walk stops there.
+  const EventTuple* floor =
+      view != nullptr && cap > 0 && view->size() >= cap ? &view->front() : nullptr;
+  std::vector<EventTuple> picked;  // newest-first
+  uint64_t dropped = 0;
+  for (auto it = log.rbegin(); it != log.rend(); ++it) {
+    if (it->producer != producer) continue;
+    if ((cap > 0 && picked.size() == cap) ||
+        (floor != nullptr && OlderThan(*it, *floor))) {
+      ++dropped;  // this one and every older event of the producer
+      break;
+    }
+    picked.push_back(*it);
+  }
+  if (picked.empty()) {
+    metrics_.trimmed_events += dropped;
+    return;
+  }
+  std::reverse(picked.begin(), picked.end());
+  std::vector<EventTuple> merged;
+  if (view != nullptr) {
+    merged.reserve(view->size() + picked.size());
+    std::merge(view->begin(), view->end(), picked.begin(), picked.end(),
+               std::back_inserter(merged), OlderThan);
+  } else {
+    merged = std::move(picked);
+  }
+  if (cap > 0 && merged.size() > cap) {
+    const size_t excess = merged.size() - cap;
+    merged.erase(merged.begin(), merged.begin() + static_cast<ptrdiff_t>(excess));
+    dropped += excess;
+  }
+  metrics_.trimmed_events += dropped;
+  if (view != nullptr) {
+    *view = std::move(merged);
+  } else {
+    views_.Put(owner, std::move(merged));
+  }
+}
+
+void ViewStore::PurgeAndRefill(NodeId owner, NodeId producer,
+                               std::span<const NodeId> sources,
+                               std::span<const EventTuple> log) {
+  std::lock_guard<std::mutex> lock(*mu_);
+  std::vector<EventTuple>* view = views_.Find(owner);
+  if (view == nullptr) return;
+  const bool was_full = view_capacity_ > 0 && view->size() >= view_capacity_;
+  const EventTuple oldest = view->front();
+  const auto kept = std::remove_if(view->begin(), view->end(),
+                                   [producer](const EventTuple& e) {
+                                     return e.producer == producer;
+                                   });
+  const size_t removed = static_cast<size_t>(view->end() - kept);
+  view->erase(kept, view->end());
+  if (removed > 0 && was_full) {
+    // The full view held every matching event from `oldest` on, so the
+    // refill comes from strictly older events, newest first.
+    std::vector<EventTuple> refill;  // newest-first
+    const auto start = std::lower_bound(log.begin(), log.end(), oldest, OlderThan);
+    for (auto it = start; it != log.begin() && refill.size() < removed;) {
+      --it;
+      if (std::binary_search(sources.begin(), sources.end(), it->producer)) {
+        refill.push_back(*it);
+      }
+    }
+    view->insert(view->begin(), refill.rbegin(), refill.rend());
+  }
+  if (view->empty()) views_.Erase(owner);
 }
 
 std::vector<EventTuple> ViewStore::QueryBatch(std::span<const NodeId> views,

@@ -80,6 +80,24 @@ class ViewStore {
   /// the filtered overload without touching the interest set at all.
   std::vector<EventTuple> QueryBatch(std::span<const NodeId> views, size_t k);
 
+  /// Churn patch for a push x -> `owner` that just entered the schedule:
+  /// merges x's newest `view_capacity` events (all of them when unbounded),
+  /// found by walking `log` backwards, into the view and trims it. `log` is
+  /// every shared event in share order, and x must not already push to
+  /// `owner`. Afterwards the view holds the newest `view_capacity` events of
+  /// `log` whose producer pushes to `owner` — what replaying `log` into a
+  /// fresh fleet would store. Events the capacity leaves out count as
+  /// trimmed (at least one whenever any is left out).
+  void MergeIn(NodeId owner, NodeId producer, std::span<const EventTuple> log);
+
+  /// Churn patch for a push x -> `owner` that just left the schedule: drops
+  /// x's events from the view and, if the view was full, refills it with the
+  /// newest older events of `log` whose producer is in the sorted
+  /// `sources` (the producers still pushing to `owner`). Same end state as
+  /// MergeIn's: the newest `view_capacity` matching events of `log`.
+  void PurgeAndRefill(NodeId owner, NodeId producer, std::span<const NodeId> sources,
+                      std::span<const EventTuple> log);
+
   /// Direct read of a full view (tests / audits). Empty if absent.
   std::vector<EventTuple> ReadView(NodeId owner) const;
 

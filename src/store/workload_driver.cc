@@ -49,7 +49,7 @@ std::string DriverReport::ToString() const {
 
 Result<DriverReport> RunWorkloadDriver(Prototype& prototype, const Workload& workload,
                                        const DriverOptions& options) {
-  if (workload.num_users() != prototype.graph().num_nodes()) {
+  if (workload.num_users() != prototype.num_users()) {
     return Status::InvalidArgument("workload size does not match prototype graph");
   }
   const double total_p = workload.TotalProduction();

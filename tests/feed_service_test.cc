@@ -1,6 +1,7 @@
 // FeedService end-to-end: the facade must keep serving correct feeds (audited
 // against the event-log oracle) through shares, queries, follow/unfollow
-// churn, serving-plane rebuilds, and full replans.
+// churn (patched into the serving plane in place), serving-plane rebuilds
+// after replans, and full replans.
 
 #include <gtest/gtest.h>
 
@@ -133,7 +134,8 @@ TEST(FeedServiceTest, ChurnLifecycleStaysAuditClean) {
     EXPECT_GT(before.queries, 0u);
     EXPECT_GT(before.audited_queries, 0u);
     EXPECT_GT(before.churn_ops, 0u);
-    EXPECT_GT(before.serving_rebuilds, 0u);
+    // Churn patches the plane in place; only a replan rebuilds it.
+    EXPECT_EQ(before.serving_rebuilds, 0u);
     EXPECT_GT(before.messages_per_request, 0.0);
     EXPECT_EQ(before.replans, 1u);  // the initial plan only
 
@@ -165,8 +167,8 @@ TEST(FeedServiceTest, RebuildPreservesTrimCountersForAuditSoundness) {
   NodeId follower = service->graph().OutNeighbors(producer)[0];
   for (int i = 0; i < 20; ++i) ASSERT_TRUE(service->Share(producer).ok());
 
-  // Churn forces a rebuild (replaying 20 events re-trims the views); the
-  // audited query afterwards must still pass.
+  // Churn patches the plane in place (its views keep their trim evidence);
+  // the audited query afterwards must pass.
   NodeId other = 0;
   while (other == producer || other == follower ||
          service->graph().HasEdge(other, follower)) {
@@ -174,7 +176,14 @@ TEST(FeedServiceTest, RebuildPreservesTrimCountersForAuditSoundness) {
   }
   ASSERT_TRUE(service->Follow(follower, other).ok());
   ASSERT_TRUE(service->QueryStream(follower).ok())
+      << "churn patch must not erase trim evidence the audit oracle depends on";
+
+  // A replan rebuilds the plane (replaying 20 events re-trims the views);
+  // the audited query afterwards must still pass.
+  ASSERT_TRUE(service->Replan().ok());
+  ASSERT_TRUE(service->QueryStream(follower).ok())
       << "rebuild must not erase trim evidence the audit oracle depends on";
+  EXPECT_EQ(service->GetMetrics().serving_rebuilds, 1u);
 }
 
 TEST(FeedServiceTest, AutoReplanTriggersAfterConfiguredChurn) {
